@@ -365,198 +365,148 @@ let skip_gate tracker gid =
 let propagation_obs_fields ~algo (t : Kernel.totals) =
   [ ("algo", Obs.String (algo_name algo)); ("gate_evals", Obs.Int t.Kernel.work) ]
 
-(* Local sites per gate id, shared by the two propagation kernels. *)
-let local_sites u =
-  let local = Hashtbl.create 64 in
-  Array.iter
-    (fun site ->
-      let k = site.gate.Netlist.id in
-      Hashtbl.replace local k (site :: Option.value ~default:[] (Hashtbl.find_opt local k)))
-    u.sites;
-  local
+(* --- Propagation kernels (deductive / concurrent) --------------------------- *)
 
-(* --- Deductive kernel ------------------------------------------------------ *)
+(* One pass per pattern, propagating per-net fault lists through the
+   gates in topological order.
 
-module Int_set = Set.Make (Int)
+   Deductive: each net carries the sites whose presence would invert its
+   good value.  Concurrent: the third classical engine the paper names;
+   each net carries the *diverged* faulty machines — (site, faulty value)
+   pairs that differ from the good value there.  A machine is spawned at
+   its own gate, propagated while its gate inputs differ from the good
+   ones, and dies when its outputs reconverge.  The engine's
+   characteristic bookkeeping is the explicit faulty *value* (not just
+   membership), which is what lets it extend to sequential circuits — and
+   what the paper points out breaks for static-CMOS stuck-opens, whose
+   faulty machines are not combinational at all.
 
-(* One pass per pattern: each net carries the set of fault sites whose
-   presence would invert the net's good value.  A gate's output list is
-   computed by re-evaluating its function with the inputs inverted exactly
-   on the faults' membership pattern (this handles multiple faulted inputs
-   from reconvergent fan-out correctly), plus the gate's own local faults
-   whose faulty function differs under the applied input vector. *)
-let deductive_kernel ~algo u patterns =
+   Both are one flat, allocation-free skeleton that differs only in the
+   list entry: [sid] (deductive) or [sid lsl 1 lor faulty_value]
+   (concurrent).
+   - Good values: [Compiled.eval_words_into] on 1-bit words into a
+     reused scratch.
+   - Lists: net [n]'s list is the slice [pool.(off.(n)) .. + len.(n)] of
+     one reusable int pool, appended in topological order (so every
+     input slice is final when its consumers read it) and reset per
+     pattern; the pool doubles when a pattern outgrows it.
+   - Candidates at a gate: the union of its input slices, de-duplicated
+     through a per-site stamp; the same pass ORs the input position into
+     the site's [mask] (reconvergent fanout gives several bits) and, for
+     concurrent, the carried value into [vbits].
+   - The candidate's faulty input vector is the packed good input bits
+     xor [mask] (concurrent: the good bits with the [mask] positions
+     replaced by [vbits]), evaluated by cube match
+     ([Compiled.eval_fn_bits]); it propagates when the result differs
+     from the good output.
+   - The gate's own sites then spawn on the good input vector with their
+     faulty function.  A candidate can never sit at its own gate (it
+     would need a path from the gate's output back to its input), so the
+     two groups are disjoint.
+
+   Every candidate and local-site evaluation is one unit of [work]; a
+   dropped site is skipped without one.  A list reaching a primary output
+   is detected right after its gate, so dropping takes effect for the
+   rest of this very pattern. *)
+let propagation_kernel ~name ~carry_value ~algo u patterns =
   let compiled = u.compiled in
   let n_nets = Compiled.n_nets compiled in
+  let n_inputs = Compiled.n_inputs compiled in
   let gates = Compiled.gates compiled in
   let total = Array.length patterns in
-  let is_po = Array.make n_nets false in
-  Array.iter (fun p -> is_po.(p) <- true) (Compiled.po_indices compiled);
-  let local = local_sites u in
+  let local = Array.make (Array.length gates) [] in
+  Array.iter (fun s -> local.(s.gate.Netlist.id) <- s :: local.(s.gate.Netlist.id)) u.sites;
+  let local = Array.map (fun l -> Array.of_list (List.rev l)) local in
   let tracker = cone_tracker ~algo u in
+  let words = Array.make n_inputs 0 in
+  let scratch = Compiled.make_scratch compiled in
+  let off = Array.make n_nets 0 and len = Array.make n_nets 0 in
+  let pool = ref (Array.make (max 64 n_nets) 0) and top = ref 0 in
+  let n = n_sites u in
+  let stamp = Array.make n 0 and mask = Array.make n 0 and vbits = Array.make n 0 in
+  let cand = Array.make n 0 in
+  let clock = ref 0 in
+  let sid_of entry = if carry_value then entry lsr 1 else entry in
+  let push sid fv =
+    if !top = Array.length !pool then begin
+      let grown = Array.make (2 * !top) 0 in
+      Array.blit !pool 0 grown 0 !top;
+      pool := grown
+    end;
+    (!pool).(!top) <- (if carry_value then (sid lsl 1) lor fv else sid);
+    incr top
+  in
   let run_unit (ctx : Kernel.ctx) ~start ~len:_ =
     reconcile_tracker tracker ctx u;
     let drop = ctx.Kernel.drop in
     let dropped = ctx.Kernel.dropped in
     let work = ctx.Kernel.work in
     let pattern = patterns.(start) in
-    let values = Compiled.eval_nets compiled pattern in
-    let lists : Int_set.t array = Array.make n_nets Int_set.empty in
-    Array.iter
-      (fun cg ->
-        if not (skip_gate tracker cg.Compiled.g.Netlist.id) then begin
-          let ins = cg.Compiled.ins in
-          let arity = Array.length ins in
-          let in_vals = Array.map (fun i -> values.(i)) ins in
-          let good_out = values.(cg.Compiled.out) in
-          let candidates =
-            Array.fold_left (fun acc i -> Int_set.union acc lists.(i)) Int_set.empty ins
-          in
-          let propagated =
-            Int_set.filter
-              (fun f ->
-                (* A dropped site can still sit in upstream lists built
-                   earlier this pattern; skip its propagation outright
-                   instead of re-evaluating the gate for it. *)
-                if drop && dropped.(f) then false
-                else begin
-                  incr work;
-                  let flipped =
-                    Array.init arity (fun k ->
-                        if Int_set.mem f lists.(ins.(k)) then not in_vals.(k) else in_vals.(k))
-                  in
-                  let words = Array.map (fun b -> if b then 1 else 0) flipped in
-                  Compiled.eval_fn cg.Compiled.fn words land 1 = 1 <> good_out
-                end)
-              candidates
-          in
-          let with_local =
-            List.fold_left
-              (fun acc site ->
-                if drop && dropped.(site.sid) then acc
-                else begin
-                  incr work;
-                  let words = Array.map (fun b -> if b then 1 else 0) in_vals in
-                  let fv = Compiled.eval_fn site.fn words land 1 = 1 in
-                  if fv <> good_out then Int_set.add site.sid acc else acc
-                end)
-              propagated
-              (Option.value ~default:[] (Hashtbl.find_opt local cg.Compiled.g.Netlist.id))
-          in
-          (* A fault reaching a primary-output net is detected; record it
-             the moment the driving gate is processed so dropping takes
-             effect for the rest of this very pattern. *)
-          if is_po.(cg.Compiled.out) then
-            Int_set.iter (fun f -> ctx.Kernel.detect ~sid:f ~pat:start) with_local;
-          lists.(cg.Compiled.out) <- with_local
-        end)
-      gates
+    for i = 0 to n_inputs - 1 do
+      words.(i) <- Bool.to_int pattern.(i)
+    done;
+    Compiled.eval_words_into compiled ~scratch words;
+    top := 0;
+    for gid = 0 to Array.length gates - 1 do
+      let cg = gates.(gid) in
+      let out = cg.Compiled.out in
+      let base = !top in
+      if not (skip_gate tracker gid) then begin
+        incr clock;
+        let now = !clock in
+        let ins = cg.Compiled.ins in
+        let x = ref 0 and n_cand = ref 0 in
+        for k = 0 to Array.length ins - 1 do
+          let net = ins.(k) in
+          x := !x lor ((scratch.(net) land 1) lsl k);
+          let pool = !pool in
+          for e = off.(net) to off.(net) + len.(net) - 1 do
+            let entry = pool.(e) in
+            let sid = sid_of entry in
+            if stamp.(sid) <> now then begin
+              stamp.(sid) <- now;
+              mask.(sid) <- 0;
+              vbits.(sid) <- 0;
+              cand.(!n_cand) <- sid;
+              incr n_cand
+            end;
+            mask.(sid) <- mask.(sid) lor (1 lsl k);
+            if carry_value then vbits.(sid) <- vbits.(sid) lor ((entry land 1) lsl k)
+          done
+        done;
+        let x = !x in
+        let good = scratch.(out) land 1 in
+        for c = 0 to !n_cand - 1 do
+          let sid = cand.(c) in
+          if not (drop && dropped.(sid)) then begin
+            incr work;
+            let fx =
+              if carry_value then (x land lnot mask.(sid)) lor vbits.(sid) else x lxor mask.(sid)
+            in
+            let fv = Compiled.eval_fn_bits cg.Compiled.fn fx in
+            if fv <> good then push sid fv
+          end
+        done;
+        let own = local.(gid) in
+        for l = 0 to Array.length own - 1 do
+          let site = own.(l) in
+          if not (drop && dropped.(site.sid)) then begin
+            incr work;
+            let fv = Compiled.eval_fn_bits site.fn x in
+            if fv <> good then push site.sid fv
+          end
+        done;
+        if Compiled.gate_is_po compiled gid then
+          for e = base to !top - 1 do
+            ctx.Kernel.detect ~sid:(sid_of (!pool).(e)) ~pat:start
+          done
+      end;
+      off.(out) <- base;
+      len.(out) <- !top - base
+    done
   in
   {
-    Kernel.name = "deductive";
-    unit_len = (fun ~start:_ -> 1);
-    units_remaining = (fun ~start -> total - start);
-    run_unit;
-    obs_fields = propagation_obs_fields ~algo;
-  }
-
-(* --- Concurrent kernel ------------------------------------------------------ *)
-
-(* Concurrent fault simulation: the third classical engine the paper
-   names.  Instead of re-simulating whole circuits (serial/parallel) or
-   propagating pure difference sets (deductive), each gate carries a list
-   of *diverged* faulty machines — (site, faulty output value) pairs that
-   differ from the good value at that gate's output.  A faulty machine is
-   spawned at its own gate, propagated while its gate-input values differ
-   from the good ones, and dies when its outputs reconverge.  On purely
-   combinational single-pass evaluation this specializes to keeping, per
-   net, the set of (site, value) pairs with value <> good value; the
-   engine's characteristic bookkeeping is the explicit faulty *value*
-   (not just membership), which is what lets it extend to sequential
-   circuits — and what the paper points out breaks for static-CMOS
-   stuck-opens, whose faulty machines are not combinational at all. *)
-
-module Int_map = Map.Make (Int)
-
-let concurrent_kernel ~algo u patterns =
-  let compiled = u.compiled in
-  let n_nets = Compiled.n_nets compiled in
-  let gates = Compiled.gates compiled in
-  let total = Array.length patterns in
-  let is_po = Array.make n_nets false in
-  Array.iter (fun p -> is_po.(p) <- true) (Compiled.po_indices compiled);
-  let local = local_sites u in
-  let tracker = cone_tracker ~algo u in
-  let run_unit (ctx : Kernel.ctx) ~start ~len:_ =
-    reconcile_tracker tracker ctx u;
-    let drop = ctx.Kernel.drop in
-    let dropped = ctx.Kernel.dropped in
-    let work = ctx.Kernel.work in
-    let pattern = patterns.(start) in
-    let values = Compiled.eval_nets compiled pattern in
-    (* Per net: the diverged machines as a map site -> faulty value
-       (present only when it differs from the good value). *)
-    let diverged : bool Int_map.t array = Array.make n_nets Int_map.empty in
-    Array.iter
-      (fun cg ->
-        if not (skip_gate tracker cg.Compiled.g.Netlist.id) then begin
-          let ins = cg.Compiled.ins in
-          let arity = Array.length ins in
-          let in_vals = Array.map (fun i -> values.(i)) ins in
-          let good_out = values.(cg.Compiled.out) in
-          (* Machines appearing on any input. *)
-          let candidates =
-            Array.fold_left
-              (fun acc i ->
-                Int_map.fold (fun site _ acc -> Int_map.add site () acc) diverged.(i) acc)
-              Int_map.empty ins
-          in
-          let out_map = ref Int_map.empty in
-          Int_map.iter
-            (fun site () ->
-              (* A dropped machine may still be diverged on upstream nets
-                 from earlier this pattern; let it die here for free. *)
-              if drop && dropped.(site) then ()
-              else begin
-                incr work;
-                let faulty_ins =
-                  Array.init arity (fun k ->
-                      match Int_map.find_opt site diverged.(ins.(k)) with
-                      | Some v -> v
-                      | None -> in_vals.(k))
-                in
-                let words = Array.map (fun b -> if b then 1 else 0) faulty_ins in
-                let fn =
-                  if cg.Compiled.g.Netlist.id = u.sites.(site).gate.Netlist.id then
-                    u.sites.(site).fn
-                  else cg.Compiled.fn
-                in
-                let fv = Compiled.eval_fn fn words land 1 = 1 in
-                if fv <> good_out then out_map := Int_map.add site fv !out_map
-              end)
-            candidates;
-          (* Spawn local machines at this gate (their inputs equal the
-             good inputs; their gate function is the faulty one). *)
-          List.iter
-            (fun site ->
-              if drop && dropped.(site.sid) then ()
-              else if not (Int_map.mem site.sid !out_map) then begin
-                incr work;
-                let words = Array.map (fun b -> if b then 1 else 0) in_vals in
-                let fv = Compiled.eval_fn site.fn words land 1 = 1 in
-                if fv <> good_out then out_map := Int_map.add site.sid fv !out_map
-              end)
-            (Option.value ~default:[] (Hashtbl.find_opt local cg.Compiled.g.Netlist.id));
-          (* A machine diverged on a primary-output net is detected; record
-             inline so dropping takes effect within this pattern. *)
-          if is_po.(cg.Compiled.out) then
-            Int_map.iter (fun site _ -> ctx.Kernel.detect ~sid:site ~pat:start) !out_map;
-          diverged.(cg.Compiled.out) <- !out_map
-        end)
-      gates
-  in
-  {
-    Kernel.name = "concurrent";
+    Kernel.name;
     unit_len = (fun ~start:_ -> 1);
     units_remaining = (fun ~start -> total - start);
     run_unit;
@@ -588,12 +538,12 @@ let run_parallel ?drop ?(algo = `Cone) ?obs ?deadline ?max_evals ?interrupt ?che
 let run_deductive ?drop ?(algo = `Cone) ?obs ?deadline ?max_evals ?interrupt ?checkpoint
     ?on_progress u (patterns : bool array array) =
   Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_progress
-    ~n_sites:(n_sites u) ~total:(Array.length patterns) (deductive_kernel ~algo u patterns)
+    ~n_sites:(n_sites u) ~total:(Array.length patterns) (propagation_kernel ~name:"deductive" ~carry_value:false ~algo u patterns)
 
 let run_concurrent ?drop ?(algo = `Cone) ?obs ?deadline ?max_evals ?interrupt ?checkpoint
     ?on_progress u (patterns : bool array array) =
   Campaign.run_patterns ?drop ?obs ?deadline ?max_evals ?interrupt ?checkpoint ?on_progress
-    ~n_sites:(n_sites u) ~total:(Array.length patterns) (concurrent_kernel ~algo u patterns)
+    ~n_sites:(n_sites u) ~total:(Array.length patterns) (propagation_kernel ~name:"concurrent" ~carry_value:true ~algo u patterns)
 
 (* PPSFP simulates a whole fault group jointly against each pattern
    word, so — like the propagation engines — a raising site cannot be

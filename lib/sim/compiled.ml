@@ -54,6 +54,30 @@ let fn_of_table table =
 
 let fn_of_cell cell = fn_of_table (Cell.logic_table cell)
 
+(* Merge the ascending, duplicate-free [src.(1 .. n-1)] with [cone] into
+   [dst] from position 1, dropping duplicates; returns the merged run's
+   end. *)
+let merge_sorted ~(src : int array) ~n (cone : int array) ~(dst : int array) =
+  let m = Array.length cone in
+  let i = ref 1 and j = ref 0 and k = ref 1 in
+  while !i < n && !j < m do
+    let a = src.(!i) and b = cone.(!j) in
+    if a <= b then begin
+      dst.(!k) <- a;
+      incr i;
+      if a = b then incr j
+    end
+    else begin
+      dst.(!k) <- b;
+      incr j
+    end;
+    incr k
+  done;
+  Array.blit src !i dst !k (n - !i);
+  let k = !k + n - !i in
+  Array.blit cone !j dst k (m - !j);
+  k + m - !j
+
 let compile netlist =
   let index_of_net = Hashtbl.create 64 in
   let next = ref 0 in
@@ -106,42 +130,42 @@ let compile netlist =
         po_positions.(net - n_inputs) <- k :: po_positions.(net - n_inputs)
       end)
     po;
-  let mark = Array.make n_g (-1) in
+  (* Cones in reverse topological order: every consumer of g has a larger
+     id, so its cone is already final when g is reached, and
+     cone(g) = {g} ∪ the merge of its consumers' cones (each ascending,
+     all > g).  [run] holds the running merge from position 1 (g goes to
+     position 0 at the end); [spare] receives the next merge and the two
+     swap. *)
   let cones = Array.make n_g [||] in
   let reach_po = Array.make n_g [||] in
   let max_cone = ref 0 in
-  for g0 = 0 to n_g - 1 do
-    (* DFS over consumer edges, stamping [mark] with g0 (no clearing
-       between gates); explicit stack so deep chains cannot overflow. *)
-    mark.(g0) <- g0;
-    let stack = ref consumers.(g0) in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | g :: rest ->
-          stack := rest;
-          if mark.(g) <> g0 then begin
-            mark.(g) <- g0;
-            stack := List.rev_append consumers.(g) !stack
-          end
-    done;
-    let count = ref 0 in
-    for g = g0 to n_g - 1 do
-      if mark.(g) = g0 then incr count
-    done;
-    let cone = Array.make !count 0 in
-    let pos = ref [] in
-    let j = ref 0 in
-    for g = g0 to n_g - 1 do
-      if mark.(g) = g0 then begin
-        cone.(!j) <- g;
-        incr j;
-        List.iter (fun k -> pos := k :: !pos) po_positions.(g)
-      end
-    done;
-    cones.(g0) <- cone;
-    reach_po.(g0) <- Array.of_list (List.rev !pos);
-    if !count > !max_cone then max_cone := !count
+  let run = ref (Array.make (max 1 n_g) 0) and spare = ref (Array.make (max 1 n_g) 0) in
+  let reach = Array.make (Array.length po) 0 in
+  for g = n_g - 1 downto 0 do
+    let n = ref 1 in
+    List.iter
+      (fun c ->
+        n := merge_sorted ~src:!run ~n:!n cones.(c) ~dst:!spare;
+        let r = !run in
+        run := !spare;
+        spare := r)
+      consumers.(g);
+    (!run).(0) <- g;
+    let cone = Array.sub !run 0 !n in
+    (* Reachable outputs in cone order, each gate's positions in
+       [po_positions] order. *)
+    let r = ref 0 in
+    Array.iter
+      (fun h ->
+        List.iter
+          (fun k ->
+            reach.(!r) <- k;
+            incr r)
+          po_positions.(h))
+      cone;
+    cones.(g) <- cone;
+    reach_po.(g) <- Array.sub reach 0 !r;
+    if !n > !max_cone then max_cone := !n
   done;
   {
     netlist; n_nets; n_inputs; po; cgates; index_of_net; net_names;
@@ -162,46 +186,62 @@ let reachable_outputs t gid = t.reach_po.(gid)
 let max_cone_size t = t.max_cone
 
 (* Evaluate one gate function on word-packed inputs: bit j of the result is
-   the function applied to bit j of each input word. *)
+   the function applied to bit j of each input word.  Plain loops over the
+   cube cover with unescaped mutable locals, so a call allocates nothing. *)
 let eval_fn fn (input_words : int array) =
+  let cubes = fn.cubes in
   let out = ref 0 in
-  Array.iter
-    (fun (care, value) ->
-      let m = ref (-1) in
-      let rec lits i =
-        if 1 lsl i <= care then begin
-          if care land (1 lsl i) <> 0 then
-            m := !m land (if value land (1 lsl i) <> 0 then input_words.(i) else lnot input_words.(i));
-          lits (i + 1)
-        end
-      in
-      lits 0;
-      out := !out lor !m)
-    fn.cubes;
+  for c = 0 to Array.length cubes - 1 do
+    let care, value = cubes.(c) in
+    let m = ref (-1) in
+    let i = ref 0 in
+    while care lsr !i <> 0 do
+      if (care lsr !i) land 1 <> 0 then begin
+        let w = input_words.(!i) in
+        m := !m land (if (value lsr !i) land 1 <> 0 then w else lnot w)
+      end;
+      incr i
+    done;
+    out := !out lor !m
+  done;
   !out
 
 (* [eval_fn] with the input gather folded into the cube loop: literal i
-   reads [nets.(ins.(i))] directly, so evaluating a gate allocates
-   nothing (the old hot path built a fresh [Array.map] of input words
-   per gate per evaluation). *)
+   reads [nets.(ins.(i))] directly, so no per-gate input array is built. *)
 let eval_fn_from fn (ins : int array) (nets : int array) =
+  let cubes = fn.cubes in
   let out = ref 0 in
-  Array.iter
-    (fun (care, value) ->
-      let m = ref (-1) in
-      let rec lits i =
-        if 1 lsl i <= care then begin
-          if care land (1 lsl i) <> 0 then begin
-            let w = nets.(ins.(i)) in
-            m := !m land (if value land (1 lsl i) <> 0 then w else lnot w)
-          end;
-          lits (i + 1)
-        end
-      in
-      lits 0;
-      out := !out lor !m)
-    fn.cubes;
+  for c = 0 to Array.length cubes - 1 do
+    let care, value = cubes.(c) in
+    let m = ref (-1) in
+    let i = ref 0 in
+    while care lsr !i <> 0 do
+      if (care lsr !i) land 1 <> 0 then begin
+        let w = nets.(ins.(!i)) in
+        m := !m land (if (value lsr !i) land 1 <> 0 then w else lnot w)
+      end;
+      incr i
+    done;
+    out := !out lor !m
+  done;
   !out
+
+(* One pattern with the gate's inputs packed into the bits of [x] (bit i
+   = input position i): the output is 1 iff some cube matches, i.e. agrees
+   with [x] on every position it cares about. *)
+let eval_fn_bits fn x =
+  let cubes = fn.cubes in
+  let n = Array.length cubes in
+  let c = ref 0 in
+  while
+    !c < n
+    &&
+    let care, value = cubes.(!c) in
+    (x lxor value) land care <> 0
+  do
+    incr c
+  done;
+  if !c < n then 1 else 0
 
 (* Evaluation scratch state.  All mutable state of an evaluation lives in
    the caller-provided [scratch] buffer: [t] itself is never written after
@@ -218,15 +258,12 @@ let eval_words_into ?override t ~(scratch : scratch) (pi_words : int array) =
   if Array.length pi_words <> t.n_inputs then invalid_arg "Compiled.eval_words: PI arity";
   if Array.length scratch <> t.n_nets then invalid_arg "Compiled.eval_words_into: scratch size";
   Array.blit pi_words 0 scratch 0 t.n_inputs;
-  Array.iter
-    (fun cg ->
-      let fn =
-        match override with
-        | Some (gid, fn') when gid = cg.g.id -> fn'
-        | _ -> cg.fn
-      in
-      scratch.(cg.out) <- eval_fn_from fn cg.ins scratch)
-    t.cgates
+  let cgates = t.cgates in
+  for i = 0 to Array.length cgates - 1 do
+    let cg = cgates.(i) in
+    let fn = match override with Some (gid, fn') when gid = i -> fn' | _ -> cg.fn in
+    scratch.(cg.out) <- eval_fn_from fn cg.ins scratch
+  done
 
 (* --- Cone-restricted fault injection ------------------------------------- *)
 
@@ -421,22 +458,21 @@ let eval_fn_rows fn (ins : int array) (m : word_matrix) ~width ~out ~(tmp : int 
    exactly one lane, so it is evaluated alone against that lane's input
    words). *)
 let eval_fn_in_matrix fn (ins : int array) (m : word_matrix) ~width ~lane =
+  let cubes = fn.cubes in
   let out = ref 0 in
-  Array.iter
-    (fun (care, value) ->
-      let mask = ref (-1) in
-      let rec lits i =
-        if 1 lsl i <= care then begin
-          if care land (1 lsl i) <> 0 then begin
-            let w = Bigarray.Array1.unsafe_get m ((Array.unsafe_get ins i * width) + lane) in
-            mask := !mask land (if value land (1 lsl i) <> 0 then w else lnot w)
-          end;
-          lits (i + 1)
-        end
-      in
-      lits 0;
-      out := !out lor !mask)
-    fn.cubes;
+  for c = 0 to Array.length cubes - 1 do
+    let care, value = cubes.(c) in
+    let mask = ref (-1) in
+    let i = ref 0 in
+    while care lsr !i <> 0 do
+      if (care lsr !i) land 1 <> 0 then begin
+        let w = Bigarray.Array1.unsafe_get m ((Array.unsafe_get ins !i * width) + lane) in
+        mask := !mask land (if (value lsr !i) land 1 <> 0 then w else lnot w)
+      end;
+      incr i
+    done;
+    out := !out lor !mask
+  done;
   !out
 
 let gate_is_po t gid = t.gate_po.(gid)

@@ -90,6 +90,12 @@ val eval_fn_from : gate_fn -> int array -> int array -> int
     [nets.(ins.(i))] — {!eval_fn} without materializing the input
     gather. *)
 
+val eval_fn_bits : gate_fn -> int -> int
+(** [eval_fn_bits fn x] evaluates [fn] on one pattern whose inputs are
+    packed into the bits of [x] (bit [i] = input position [i]) by cube
+    match; returns 0 or 1.  The per-machine evaluation of the
+    propagation (deductive / concurrent) engines. *)
+
 val make_cone_buffer : t -> int array
 (** A save buffer of {!max_cone_size} words for {!eval_cone_into}. *)
 

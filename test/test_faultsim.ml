@@ -1240,6 +1240,74 @@ let test_diagnosing_patterns () =
       | _ -> Alcotest.fail "ambiguous under diagnosing set")
     u.Faultsim.sites
 
+(* --- Propagation engines (flat fault-list kernels) --------------------------- *)
+
+let gate_evals_of run =
+  let sink, fetch = Obs.memory_sink () in
+  ignore (run (Obs.make sink));
+  Option.get (field_int (run_event fetch) "gate_evals")
+
+(* The propagation kernels' work counter is part of their contract: one
+   unit per candidate or local-site evaluation of a live site.  Pinned to
+   the figures of the set/map-based kernels the flat-pool kernels
+   replaced, so a rewrite that changes the algorithm (not just its cost
+   per evaluation) fails here. *)
+let test_propagation_gate_evals_pinned () =
+  let nl = match Catalog.find "rand60" with Ok nl -> nl | Error e -> Alcotest.fail e in
+  let u = Faultsim.universe nl in
+  let pats = Faultsim.random_patterns (Prng.create 71) ~n_inputs:12 ~count:200 in
+  List.iter
+    (fun (drop, expected) ->
+      List.iter
+        (fun (algo_name, algo) ->
+          check_i
+            (Fmt.str "deductive drop=%b %s" drop algo_name)
+            expected
+            (gate_evals_of (fun obs -> Faultsim.run_deductive ~drop ~algo ~obs u pats));
+          check_i
+            (Fmt.str "concurrent drop=%b %s" drop algo_name)
+            expected
+            (gate_evals_of (fun obs -> Faultsim.run_concurrent ~drop ~algo ~obs u pats)))
+        [ ("cone", `Cone); ("full", `Full) ])
+    [ (true, 25273); (false, 97610) ]
+
+(* rand1k without dropping carries more list entries per pattern than
+   the fault-list pool's initial capacity (one entry per net), so the
+   pool grows mid-pattern; results must not notice. *)
+let test_propagation_pool_growth () =
+  let nl = match Catalog.find "rand1k" with Ok nl -> nl | Error e -> Alcotest.fail e in
+  let u = Faultsim.universe nl in
+  let pats = Faultsim.random_patterns (Prng.create 71) ~n_inputs:32 ~count:124 in
+  let reference = (Faultsim.run_parallel ~drop:false u pats).Faultsim.first_detection in
+  check "deductive = bit-parallel" true
+    ((Faultsim.run_deductive ~drop:false u pats).Faultsim.first_detection = reference);
+  check "concurrent = bit-parallel" true
+    ((Faultsim.run_concurrent ~drop:false u pats).Faultsim.first_detection = reference)
+
+(* QCheck: deductive, concurrent and bit-parallel give equal first
+   detections on random layered circuits.  A window >= 2 lets a gate draw
+   several inputs from a shared upstream region, so reconvergent fanout
+   puts one site on several inputs of a gate (multi-bit input masks). *)
+let qcheck_propagation_differential =
+  QCheck2.Test.make ~name:"deductive = concurrent = bit-parallel on layered circuits"
+    ~count:25
+    QCheck2.Gen.(
+      pair (pair (int_range 1 1000) (int_range 2 8)) (triple (int_range 2 10) (int_range 1 5) (int_range 2 4)))
+    (fun ((seed, n_inputs), (width, depth, window)) ->
+      let nl =
+        Generators.random_layered ~seed ~n_inputs ~width ~depth ~window
+          ~technology:Technology.Domino_cmos ()
+      in
+      let u = Faultsim.universe nl in
+      let pats = Faultsim.random_patterns (Prng.create seed) ~n_inputs ~count:70 in
+      let reference = (Faultsim.run_parallel ~drop:false u pats).Faultsim.first_detection in
+      List.for_all
+        (fun (drop, algo) ->
+          (Faultsim.run_deductive ~drop ~algo u pats).Faultsim.first_detection = reference
+          && (Faultsim.run_concurrent ~drop ~algo u pats).Faultsim.first_detection = reference
+          && (Faultsim.run_parallel ~drop ~algo u pats).Faultsim.first_detection = reference)
+        [ (false, `Cone); (false, `Full); (true, `Cone); (true, `Full) ])
+
 (* QCheck: structural properties of the compile-time fanout analysis on
    random circuits — every cone starts with its own gate, is strictly
    ascending (= topologically ordered, since gate ids are a topological
@@ -1360,6 +1428,14 @@ let () =
           Alcotest.test_case "reconvergent random circuits" `Quick test_cone_reconvergent_random;
           Alcotest.test_case "propagation engines: cone = full" `Quick
             test_propagation_cone_differential;
+        ] );
+      ( "propagation",
+        [
+          Alcotest.test_case "gate_evals pinned on rand60" `Quick
+            test_propagation_gate_evals_pinned;
+          Alcotest.test_case "fault-list pool growth on rand1k" `Quick
+            test_propagation_pool_growth;
+          QCheck_alcotest.to_alcotest qcheck_propagation_differential;
         ] );
       ( "domain-parallel",
         [

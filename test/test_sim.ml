@@ -86,6 +86,111 @@ let test_eval_cone_into () =
       (!tally >= 1 && !tally <= Array.length (Compiled.fanout_cone c gid))
   done
 
+let rand1k_shape () =
+  Generators.random_layered ~seed:11 ~n_inputs:32 ~width:100 ~depth:10 ~window:8
+    ~technology:Technology.Domino_cmos ()
+
+(* Fanout cones by the obvious construction — a DFS over consumer edges
+   from every gate, then an ascending scan — with reachable outputs
+   listed in cone order, each gate's PO positions in descending order.
+   The compile-time merged-cone construction must agree exactly. *)
+let naive_cones c =
+  let n_g = Compiled.n_gates c and n_in = Compiled.n_inputs c in
+  let consumers = Array.make n_g [] in
+  Array.iteri
+    (fun h cg ->
+      Array.iter
+        (fun net -> if net >= n_in then consumers.(net - n_in) <- h :: consumers.(net - n_in))
+        cg.Compiled.ins)
+    (Compiled.gates c);
+  let po = Compiled.po_indices c in
+  let positions g =
+    List.rev (List.filter (fun k -> po.(k) = n_in + g) (List.init (Array.length po) Fun.id))
+  in
+  Array.init n_g (fun g0 ->
+      let mark = Array.make n_g false in
+      let rec dfs g =
+        if not mark.(g) then begin
+          mark.(g) <- true;
+          List.iter dfs consumers.(g)
+        end
+      in
+      dfs g0;
+      let cone = List.filter (fun g -> mark.(g)) (List.init n_g Fun.id) in
+      (Array.of_list cone, Array.of_list (List.concat_map positions cone)))
+
+let cones_match_naive c =
+  let naive = naive_cones c in
+  let ok = ref true in
+  Array.iteri
+    (fun g (cone, reach) ->
+      if Compiled.fanout_cone c g <> cone || Compiled.reachable_outputs c g <> reach then
+        ok := false)
+    naive;
+  !ok
+  && Compiled.max_cone_size c
+     = Array.fold_left (fun m (cone, _) -> max m (Array.length cone)) 0 naive
+
+let test_cones_rand1k () =
+  check "rand1k-shape cones = naive DFS" true (cones_match_naive (Compiled.compile (rand1k_shape ())))
+
+let qcheck_cones_naive =
+  QCheck2.Test.make ~name:"merged cones = naive DFS on random circuits" ~count:40
+    QCheck2.Gen.(triple (int_range 1 1000) bool (int_range 2 8))
+    (fun (seed, layered, window) ->
+      let nl =
+        if layered then
+          Generators.random_layered ~seed ~n_inputs:6 ~width:8 ~depth:5 ~window
+            ~technology:Technology.Domino_cmos ()
+        else
+          Generators.random_monotone ~seed ~n_inputs:6 ~n_gates:25
+            ~technology:Technology.Domino_cmos ()
+      in
+      cones_match_naive (Compiled.compile nl))
+
+(* The evaluation core allocates nothing per gate: a whole good-machine
+   sweep and a cone injection each cost a small constant number of minor
+   words (the boxed [Gc.minor_words] float, an optional-argument [Some],
+   the override pair), independent of circuit size. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_good_sweep_allocation () =
+  let c = Compiled.compile (rand1k_shape ()) in
+  let prng = Dynmos_util.Prng.create 5 in
+  let words = Array.init (Compiled.n_inputs c) (fun _ -> Dynmos_util.Prng.bits62 prng) in
+  let scratch = Compiled.make_scratch c in
+  Compiled.eval_words_into c ~scratch words;
+  let w = minor_words_of (fun () -> Compiled.eval_words_into c ~scratch words) in
+  if w > 16.0 then
+    Alcotest.fail (Fmt.str "good sweep over %d gates allocated %.0f words" (Compiled.n_gates c) w)
+
+let test_cone_injection_allocation () =
+  let u = Dynmos_faultsim.Faultsim.universe (rand1k_shape ()) in
+  let c = u.Dynmos_faultsim.Faultsim.compiled in
+  let prng = Dynmos_util.Prng.create 5 in
+  let words = Array.init (Compiled.n_inputs c) (fun _ -> Dynmos_util.Prng.bits62 prng) in
+  let scratch = Compiled.make_scratch c in
+  Compiled.eval_words_into c ~scratch words;
+  let buf = Compiled.make_cone_buffer c in
+  let tally = ref 0 in
+  let sites = u.Dynmos_faultsim.Faultsim.sites in
+  let sweep () =
+    Array.iter
+      (fun s ->
+        ignore
+          (Compiled.eval_cone_into ~tally c
+             ~override:(s.Dynmos_faultsim.Faultsim.gate.Netlist.id, s.Dynmos_faultsim.Faultsim.fn)
+             ~scratch ~buf))
+      sites
+  in
+  sweep ();
+  let per = minor_words_of sweep /. float_of_int (Array.length sites) in
+  if per > 16.0 then
+    Alcotest.fail (Fmt.str "cone injection allocated %.1f words per site on average" per)
+
 let test_output_expr () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 3 in
   let c = Compiled.compile nl in
@@ -446,6 +551,11 @@ let () =
           Alcotest.test_case "fault override" `Quick test_override;
           Alcotest.test_case "cone-restricted injection kernel" `Quick test_eval_cone_into;
           Alcotest.test_case "cone extraction" `Quick test_output_expr;
+          Alcotest.test_case "rand1k-shape cones = naive DFS" `Quick test_cones_rand1k;
+          QCheck_alcotest.to_alcotest qcheck_cones_naive;
+          Alcotest.test_case "good sweep allocates O(1) words" `Quick test_good_sweep_allocation;
+          Alcotest.test_case "cone injection allocates O(1) words" `Quick
+            test_cone_injection_allocation;
         ] );
       ( "charge_fig1",
         [
