@@ -240,19 +240,19 @@ val run_ppsfp :
   universe ->
   bool array array ->
   summary
-(** PPSFP engine: a group of [group] (default 16) fault machines
+(** PPSFP engine: groups of [group] (default 16) fault machines
     simulated together against each 62-pattern word on a flat Bigarray
     (net x lane) word matrix — one cube decode per gate amortized over
-    the whole group, unit-stride lane loops (see {!Ppsfp}).  [`Cone]
-    probes each machine's own gate against the good machine and, when
-    any machine is activated, sweeps the group's union fanout cone
-    once; [`Full] sweeps every gate.  [first_detection] is
-    bit-identical to {!run_parallel} for every [group], [algo] and
-    [drop].  Fault dropping compacts groups between pattern units, so
-    retired sites are never re-simulated ([trace_site] is the test hook
-    observing which sites each unit touches).  Groups propagate
-    jointly, so like the propagation engines this wrapper exposes no
-    supervision knobs. *)
+    the whole group, unit-stride lane loops (see {!Ppsfp}).  Per word,
+    every live site's own gate is probed against the good machine;
+    [`Cone] packs only the activated sites into groups and sweeps each
+    group's union fanout cone once, [`Full] packs every live site and
+    sweeps every gate.  [first_detection] is bit-identical to
+    {!run_parallel} for every [group], [algo] and [drop].  Retired
+    sites are skipped by the probe, so they are never re-simulated
+    ([trace_site] is the test hook observing which sites each unit
+    probes).  Groups propagate jointly, so like the propagation engines
+    this wrapper exposes no supervision knobs. *)
 
 val run_domain_parallel :
   ?drop:bool ->

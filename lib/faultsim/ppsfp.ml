@@ -9,52 +9,44 @@ module Obs = Dynmos_obs.Obs
    *group* of G fault machines is simulated together against one pattern
    word, with all mutable state in a flat (net x lane) Bigarray word
    matrix (Compiled.word_matrix).  One cube-cover decode per gate is
-   amortized over the whole group and the lane loop is unit-stride, so
-   the marginal cost of a machine-gate evaluation drops to a strided
-   and/or/not — the memory-layout win the ROADMAP's "raw speed" item
-   asks for.
+   amortized over the whole group and the lane loop is unit-stride.
 
-   Per pattern unit the kernel:
+   Lanes are packed by *activation*, per pattern unit:
 
-   1. evaluates the good machine once into an ordinary scratch array;
-   2. per group, *probes* each machine's own faulty gate as a scalar
-      against the good values (a machine's inputs at its own gate are
-      upstream of the fault, hence good) — when no lane is activated
-      the whole group is done at G gate evaluations, the same dominant
-      saving the bit-parallel cone kernel gets per site;
-   3. otherwise broadcasts the group's frontier nets (cone inputs
-      produced outside the union fanout cone) from the good scratch
-      into the matrix and sweeps the union cone once in topological
-      order with [Compiled.eval_fn_rows], substituting each machine's
-      probed faulty word into its own lane at its own gate;
-   4. diffs each lane against the good machine over the cone's
-      primary-output gates; the lowest set bit of the masked diff is
-      the first detecting pattern.
+   1. evaluate the good machine into an ordinary scratch array;
+   2. probe every live site's own faulty gate as a scalar against the
+      good values (a machine's inputs at its own gate are upstream of
+      the fault, hence good) — one gate evaluation per site, the same
+      dominant saving the bit-parallel cone kernel gets per site;
+   3. pack only the activated sites, in gate order, into groups of G
+      lanes ([`Full] packs every live site) — a machine whose fault is
+      not activated equals the good machine and cannot be detected in
+      this unit, so no lane is spent on it;
+   4. copy every net's good word into the matrix once, then per group
+      stamp the union fanout cone ([`Full]: every gate), sweep the
+      stamped gates in ascending (= topological) order with
+      [Compiled.eval_fn_rows], substituting each machine's probed
+      faulty word into its own lane at its own gate, diff each lane
+      against the good machine over the swept primary-output gates (the
+      lowest set bit of the masked diff is the first detecting pattern)
+      and restore the swept rows to the good words for the next group.
 
-   Correctness: machine l's lane starts from good frontier values and
-   is evaluated with true gate functions everywhere except its own
-   gate, so by induction over the topological order it equals the good
-   machine outside the fanout cone of its own fault and equals the
+   Correctness: every row outside the swept cone holds the good word, and
+   machine l is evaluated with true gate functions everywhere except its
+   own gate, so by induction over the topological order its lane equals
+   the good machine outside the fanout cone of its fault and the
    whole-circuit faulty machine inside it.  The PO diff is therefore
    bit-identical to the bit-parallel engine's — the frozen fixtures and
    the QCheck differential pin this.
 
-   Fault dropping compacts groups: retired sites (dropped or failed)
-   are removed and the survivors regrouped at unit boundaries, but only
-   when the retired count actually changed — group construction (union
-   cones, frontiers) is the only allocating part of the kernel and is
-   skipped while the live set is stable.  The kernel propagates each
-   group jointly, so like the deductive/concurrent engines it exposes
-   no per-site supervision. *)
+   Fault dropping needs no compaction step: the probe skips retired
+   (dropped or failed) sites, so groups are re-formed from the live,
+   activated set every unit at the cost of one pass over the sites.
+   Nothing is allocated per unit or per group.  The kernel propagates
+   each group jointly, so like the deductive/concurrent engines it
+   exposes no per-site supervision. *)
 
 type fsite = { sid : int; gate : int; fn : Compiled.gate_fn }
-
-type group = {
-  lanes : fsite array;   (* ascending sid => non-decreasing gate id *)
-  cone : int array;      (* union fanout cone, ascending (= topological) gate ids *)
-  cone_po : int array;   (* cone gates whose output net is a primary output *)
-  frontier : int array;  (* net indices read by the cone but produced outside it *)
-}
 
 let word_bits = 62
 
@@ -68,149 +60,88 @@ let kernel ?(group = default_group) ?trace_site ~algo compiled (sites : fsite ar
     invalid_arg (Fmt.str "Ppsfp.kernel: group size must be >= 1 (got %d)" group);
   let n = Array.length sites in
   let n_inputs = Compiled.n_inputs compiled in
+  let n_nets = Compiled.n_nets compiled in
   let n_gates = Compiled.n_gates compiled in
   let cgates = Compiled.gates compiled in
   let total = Array.length patterns in
   let width = group in
+  let full = algo = `Full in
   (* All buffers live for the whole campaign: the word matrix, the
-     good-machine scratch, the packed PI words, per-lane probe and diff
-     words, and the grouped-eval accumulator. *)
+     good-machine scratch, the packed PI words, the unit's packed site
+     indices with their probed faulty words, per-lane diff words, the
+     grouped-eval accumulator and the union-cone stamps (a fresh stamp
+     value per group, so they are never cleared). *)
   let matrix = Compiled.make_word_matrix compiled ~width in
   let scratch = Compiled.make_scratch compiled in
   let words = Array.make n_inputs 0 in
-  let fw = Array.make width 0 in
+  let packed = Array.make (max 1 n) 0 in
+  let fw = Array.make (max 1 n) 0 in
   let diff = Array.make width 0 in
   let tmp = Array.make width 0 in
-  (* Full-algo groups share one all-gates cone / all-PIs frontier. *)
-  let all_gates = lazy (Array.init n_gates Fun.id) in
-  let all_po =
-    lazy
-      (Array.of_seq
-         (Seq.filter (Compiled.gate_is_po compiled) (Seq.init n_gates Fun.id)))
-  in
-  let all_pi = lazy (Array.init n_inputs Fun.id) in
-  (* Group-build scratch: stamp arrays dedupe cone gates and frontier
-     nets without clearing between builds. *)
-  let gstamp = Array.make (max 1 n_gates) (-1) in
-  let nstamp = Array.make (max 1 (Compiled.n_nets compiled)) (-1) in
-  let stamp = ref 0 in
-  let build_group lanes =
-    match algo with
-    | `Full ->
-        {
-          lanes;
-          cone = Lazy.force all_gates;
-          cone_po = Lazy.force all_po;
-          frontier = Lazy.force all_pi;
-        }
-    | `Cone ->
-        incr stamp;
-        let cur = !stamp in
-        let acc = ref [] in
-        Array.iter
-          (fun s ->
-            Array.iter
-              (fun g ->
-                if gstamp.(g) <> cur then begin
-                  gstamp.(g) <- cur;
-                  acc := g :: !acc
-                end)
-              (Compiled.fanout_cone compiled s.gate))
-          lanes;
-        let cone = Array.of_list !acc in
-        Array.sort compare cone;
-        let cone_po =
-          Array.of_seq
-            (Seq.filter (Compiled.gate_is_po compiled) (Array.to_seq cone))
-        in
-        let facc = ref [] in
-        Array.iter
-          (fun g ->
-            Array.iter
-              (fun net ->
-                let outside = net < n_inputs || gstamp.(net - n_inputs) <> cur in
-                if outside && nstamp.(net) <> cur then begin
-                  nstamp.(net) <- cur;
-                  facc := net :: !facc
-                end)
-              cgates.(g).Compiled.ins)
-          cone;
-        { lanes; cone; cone_po; frontier = Array.of_list !facc }
-  in
-  (* Lazily (re)built group partition: the first unit sees checkpoint-
-     preloaded detections through the same retired-count trigger as
-     mid-run drops. *)
-  let groups = ref [||] in
-  let built_retired = ref (-1) in
-  let rebuild (ctx : Kernel.ctx) =
-    let live = ref [] in
-    for sid = n - 1 downto 0 do
-      if
-        (not ctx.Kernel.failed.(sid))
-        && not (ctx.Kernel.drop && ctx.Kernel.first.(sid) <> None)
-      then live := sites.(sid) :: !live
+  let stamp = Array.make (max 1 n_gates) (-1) in
+  let cur = ref 0 in
+  (* Lanes are [packed.(first .. first + glen - 1)], non-decreasing gate. *)
+  let sweep_group (ctx : Kernel.ctx) ~start ~mask ~first ~glen =
+    incr cur;
+    let c = !cur in
+    let lo = if full then 0 else sites.(packed.(first)).gate in
+    let hi = ref (if full then n_gates - 1 else lo) in
+    if not full then
+      for l = first to first + glen - 1 do
+        let g0 = sites.(packed.(l)).gate in
+        (* A stamped gate's cone is inside the cone that stamped it. *)
+        if stamp.(g0) <> c then begin
+          let cone = Compiled.fanout_cone compiled g0 in
+          for i = 0 to Array.length cone - 1 do
+            stamp.(cone.(i)) <- c
+          done;
+          let last = cone.(Array.length cone - 1) in
+          if last > !hi then hi := last
+        end
+      done;
+    let op = ref first in
+    let swept = ref 0 in
+    for g = lo to !hi do
+      if full || stamp.(g) = c then begin
+        let cg = cgates.(g) in
+        Compiled.eval_fn_rows cg.Compiled.fn cg.Compiled.ins matrix ~width
+          ~out:cg.Compiled.out ~tmp;
+        incr swept;
+        while !op < first + glen && sites.(packed.(!op)).gate = g do
+          Bigarray.Array1.unsafe_set matrix
+            ((cg.Compiled.out * width) + !op - first)
+            fw.(!op);
+          incr op
+        done
+      end
     done;
-    let live = Array.of_list !live in
-    let n_live = Array.length live in
-    let n_groups = (n_live + width - 1) / width in
-    groups :=
-      Array.init n_groups (fun k ->
-          build_group (Array.sub live (k * width) (min width (n_live - (k * width)))))
-  in
-  let run_group (ctx : Kernel.ctx) grp ~start ~mask =
-    let glen = Array.length grp.lanes in
-    (match trace_site with
-    | None -> ()
-    | Some f -> Array.iter (fun s -> f ~sid:s.sid ~start) grp.lanes);
-    (* Probe: each machine's faulty gate as a scalar against the good
-       machine (its inputs there are good by construction).  The probed
-       word doubles as the lane's override value during the sweep. *)
-    let activated = ref false in
-    for l = 0 to glen - 1 do
-      let s = grp.lanes.(l) in
-      let cg = cgates.(s.gate) in
-      let w = Compiled.eval_fn_from s.fn cg.Compiled.ins scratch in
-      fw.(l) <- w;
-      if w <> scratch.(cg.Compiled.out) then activated := true
-    done;
-    ctx.Kernel.work := !(ctx.Kernel.work) + glen;
-    if !activated || algo = `Full then begin
-      Array.iter
-        (fun net -> Compiled.matrix_fill_row matrix ~width ~net scratch.(net))
-        grp.frontier;
-      (* Ascending sweep; lanes are in non-decreasing gate order, so the
-         override fixups are a single pointer walk alongside it. *)
-      let op = ref 0 in
-      Array.iter
-        (fun g ->
-          let cg = cgates.(g) in
-          Compiled.eval_fn_rows cg.Compiled.fn cg.Compiled.ins matrix ~width
-            ~out:cg.Compiled.out ~tmp;
-          while !op < glen && grp.lanes.(!op).gate = g do
-            Bigarray.Array1.unsafe_set matrix ((cg.Compiled.out * width) + !op) fw.(!op);
-            incr op
-          done)
-        grp.cone;
-      ctx.Kernel.work := !(ctx.Kernel.work) + (Array.length grp.cone * glen);
-      Array.fill diff 0 glen 0;
-      Array.iter
-        (fun g ->
-          let out = cgates.(g).Compiled.out in
-          let base = out * width in
-          let good = scratch.(out) in
+    ctx.Kernel.work := !(ctx.Kernel.work) + (!swept * glen);
+    (* Diff the swept PO rows; restore the swept rows to the good words
+       ([`Full] rewrites every gate row from the PIs, so skips it). *)
+    Array.fill diff 0 glen 0;
+    for g = lo to !hi do
+      if full || stamp.(g) = c then begin
+        let out = cgates.(g).Compiled.out in
+        let base = out * width in
+        let good = scratch.(out) in
+        if Compiled.gate_is_po compiled g then
           for l = 0 to glen - 1 do
             diff.(l) <- diff.(l) lor (Bigarray.Array1.unsafe_get matrix (base + l) lxor good)
-          done)
-        grp.cone_po;
-      for l = 0 to glen - 1 do
-        let d = diff.(l) land mask in
-        let sid = grp.lanes.(l).sid in
-        if d <> 0 && ctx.Kernel.first.(sid) = None then begin
-          let rec lowest j = if (d lsr j) land 1 = 1 then j else lowest (j + 1) in
-          ctx.Kernel.detect ~sid ~pat:(start + lowest 0)
-        end
-      done
-    end
+          done;
+        if not full then Compiled.matrix_fill_row matrix ~width ~net:out good
+      end
+    done;
+    for l = 0 to glen - 1 do
+      let d = diff.(l) land mask in
+      let sid = sites.(packed.(first + l)).sid in
+      if d <> 0 && ctx.Kernel.first.(sid) = None then begin
+        let j = ref 0 in
+        while (d lsr !j) land 1 = 0 do
+          incr j
+        done;
+        ctx.Kernel.detect ~sid ~pat:(start + !j)
+      end
+    done
   in
   let run_unit (ctx : Kernel.ctx) ~start ~len =
     Array.fill words 0 n_inputs 0;
@@ -222,16 +153,36 @@ let kernel ?(group = default_group) ?trace_site ~algo compiled (sites : fsite ar
     done;
     let mask = if len >= word_bits then max_int else (1 lsl len) - 1 in
     Compiled.eval_words_into compiled ~scratch words;
-    let retired = ref 0 in
-    for sid = 0 to n - 1 do
-      if ctx.Kernel.failed.(sid) || (ctx.Kernel.drop && ctx.Kernel.first.(sid) <> None)
-      then incr retired
+    (* Probe every live site; the probed word doubles as the lane's
+       override value during the sweep. *)
+    let n_packed = ref 0 in
+    let probed = ref 0 in
+    for i = 0 to n - 1 do
+      let s = sites.(i) in
+      if not (ctx.Kernel.failed.(s.sid) || ctx.Kernel.dropped.(s.sid)) then begin
+        (match trace_site with None -> () | Some f -> f ~sid:s.sid ~start);
+        let cg = cgates.(s.gate) in
+        let w = Compiled.eval_fn_from s.fn cg.Compiled.ins scratch in
+        incr probed;
+        if full || w <> scratch.(cg.Compiled.out) then begin
+          packed.(!n_packed) <- i;
+          fw.(!n_packed) <- w;
+          incr n_packed
+        end
+      end
     done;
-    if !retired <> !built_retired then begin
-      built_retired := !retired;
-      rebuild ctx
-    end;
-    Array.iter (fun grp -> run_group ctx grp ~start ~mask) !groups
+    ctx.Kernel.work := !(ctx.Kernel.work) + !probed;
+    if !n_packed > 0 then begin
+      for net = 0 to n_nets - 1 do
+        Compiled.matrix_fill_row matrix ~width ~net scratch.(net)
+      done;
+      let first = ref 0 in
+      while !first < !n_packed do
+        let glen = min width (!n_packed - !first) in
+        sweep_group ctx ~start ~mask ~first:!first ~glen;
+        first := !first + glen
+      done
+    end
   in
   let cone_gates =
     Array.fold_left

@@ -2,17 +2,20 @@ open Dynmos_sim
 
 (** PPSFP: the parallel-pattern x parallel-fault kernel.
 
-    A group of [group] fault machines is simulated together against each
+    Fault machines are simulated G at a time ("lanes") against each
     62-pattern word, with all mutable state in a flat (net x lane)
     Bigarray word matrix ({!Compiled.word_matrix}): one cube-cover
     decode per gate is amortized over the whole group and the lane loop
-    is unit-stride.  Per group and pattern word the kernel probes each
-    machine's own faulty gate against the shared good machine, skips the
-    group outright when no machine is activated, and otherwise sweeps
-    the group's union fanout cone once ([`Cone]; [`Full] sweeps every
-    gate), diffing each lane over the cone's primary-output gates.
-    First detections are bit-identical to the bit-parallel engine
-    (frozen fixtures and a QCheck differential pin this).
+    is unit-stride.  Lanes are packed by activation: per pattern unit
+    the kernel probes every live site's own faulty gate against the good
+    machine (one scalar gate evaluation per site), packs only the
+    activated sites, in gate order, into groups of G lanes, and sweeps
+    each group's union fanout cone once ([`Cone]; [`Full] packs every
+    live site and sweeps every gate), diffing each lane over the swept
+    primary-output gates.  A site that is not activated in a unit costs
+    one probe and no lane.  First detections are bit-identical to the
+    bit-parallel engine (frozen fixtures and a QCheck differential pin
+    this).  Nothing is allocated per unit or per group.
 
     The kernel is generic over the fault universe: a site is any
     (gate, faulty function) pair, so cell-level fault classes beyond
@@ -40,9 +43,9 @@ val kernel :
     be in ascending [sid] = non-decreasing gate order (the order
     {!Faultsim.universe} produces).  [group] is the lane count G of the
     word matrix (raises [Invalid_argument] when < 1): larger groups
-    amortize the per-gate decode over more machines but sweep more
-    wasted lanes per activation and grow the matrix working set —
-    G x n_nets words.  Fault dropping compacts groups between pattern
-    units; retired sites are never re-simulated ([trace_site], called
-    once per site per pattern unit actually simulated, is the test
-    hook pinning that). *)
+    amortize the per-gate decode over more machines, but each group
+    sweeps the union of its lanes' cones, so a wider group sweeps more
+    gates per lane, and the matrix working set grows as G x n_nets
+    words.  Retired sites (dropped or failed) are skipped by the probe
+    and never re-simulated; [trace_site], called once per live site
+    probed per pattern unit, is the test hook pinning that. *)

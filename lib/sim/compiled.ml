@@ -281,8 +281,9 @@ let make_cone_buffer t = Array.make (max 1 t.max_cone) 0
    The overridden gate is evaluated first: when its faulty word equals
    the good word on every packed pattern the fault is not activated,
    nothing downstream can diverge, and the kernel exits after that
-   single gate — the dominant saving, since most patterns do not
-   activate most faults.  Otherwise the rest of the cone is re-evaluated
+   single gate, before anything is saved — the dominant saving, since
+   most patterns do not activate most faults.  Otherwise the cone's
+   baseline is saved into [buf] and the rest of the cone is re-evaluated
    in topological order (nets outside the cone cannot change, their
    values are read from the baseline) and only the primary outputs the
    cone reaches are compared; unreachable outputs are untouched by
@@ -297,14 +298,14 @@ let eval_cone_into ?tally t ~override:(gid, fn') ~(scratch : scratch) ~(buf : in
   let cone = t.cones.(gid) in
   let n = Array.length cone in
   let cgates = t.cgates in
-  for i = 0 to n - 1 do
-    buf.(i) <- scratch.(cgates.(cone.(i)).out)
-  done;
   let cg0 = cgates.(gid) in
   let faulty0 = eval_fn_from fn' cg0.ins scratch in
   let diff = ref 0 in
   let evaluated = ref 1 in
-  if faulty0 <> buf.(0) then begin
+  if faulty0 <> scratch.(cg0.out) then begin
+    for i = 0 to n - 1 do
+      buf.(i) <- scratch.(cgates.(cone.(i)).out)
+    done;
     scratch.(cg0.out) <- faulty0;
     for i = 1 to n - 1 do
       let cg = cgates.(cone.(i)) in
@@ -347,55 +348,69 @@ let matrix_fill_row (m : word_matrix) ~width ~net w =
     Bigarray.Array1.unsafe_set m (base + l) w
   done
 
+(* Row kernels of the grouped evaluation: AND or OR input row [base_in]
+   (complemented when not [positive]) into the output row [base_out],
+   lane by lane. *)
+let and_row (m : word_matrix) ~width ~base_out ~base_in ~positive =
+  if positive then
+    for l = 0 to width - 1 do
+      Bigarray.Array1.unsafe_set m (base_out + l)
+        (Bigarray.Array1.unsafe_get m (base_out + l)
+        land Bigarray.Array1.unsafe_get m (base_in + l))
+    done
+  else
+    for l = 0 to width - 1 do
+      Bigarray.Array1.unsafe_set m (base_out + l)
+        (Bigarray.Array1.unsafe_get m (base_out + l)
+        land lnot (Bigarray.Array1.unsafe_get m (base_in + l)))
+    done
+
+let or_row (m : word_matrix) ~width ~base_out ~base_in ~positive =
+  if positive then
+    for l = 0 to width - 1 do
+      Bigarray.Array1.unsafe_set m (base_out + l)
+        (Bigarray.Array1.unsafe_get m (base_out + l)
+        lor Bigarray.Array1.unsafe_get m (base_in + l))
+    done
+  else
+    for l = 0 to width - 1 do
+      Bigarray.Array1.unsafe_set m (base_out + l)
+        (Bigarray.Array1.unsafe_get m (base_out + l)
+        lor lnot (Bigarray.Array1.unsafe_get m (base_in + l)))
+    done
+
+(* Output row := the conjunction of one cube's literals. *)
+let cube_row (m : word_matrix) (ins : int array) ~width ~out care value =
+  let base_out = out * width in
+  matrix_fill_row m ~width ~net:out (-1);
+  let i = ref 0 in
+  while care lsr !i <> 0 do
+    if (care lsr !i) land 1 <> 0 then
+      and_row m ~width ~base_out
+        ~base_in:(Array.unsafe_get ins !i * width)
+        ~positive:((value lsr !i) land 1 <> 0);
+    incr i
+  done
+
 (* Grouped single-gate evaluation: for every lane, bit j of row [out]
    becomes [fn] applied to bit j of each input row.  The cube cover is
    decoded once for all [width] lanes — cube outer, literal middle, lane
    inner — with the output row itself as the per-cube mask buffer (legal
    because a combinational gate never reads its own output) and [tmp]
-   (caller scratch, length >= width) as the OR-accumulator, so the call
+   (caller scratch, length >= width) as the OR-accumulator.  Plain loops
+   over top-level row kernels with unescaped mutable locals, so a call
    allocates nothing. *)
 let eval_fn_rows fn (ins : int array) (m : word_matrix) ~width ~out ~(tmp : int array) =
   let base_out = out * width in
-  (* AND one literal's input row into the output row, in place. *)
-  let and_literal care value i =
-    if care land (1 lsl i) <> 0 then begin
-      let base_in = Array.unsafe_get ins i * width in
-      if value land (1 lsl i) <> 0 then
-        for l = 0 to width - 1 do
-          Bigarray.Array1.unsafe_set m (base_out + l)
-            (Bigarray.Array1.unsafe_get m (base_out + l)
-            land Bigarray.Array1.unsafe_get m (base_in + l))
-        done
-      else
-        for l = 0 to width - 1 do
-          Bigarray.Array1.unsafe_set m (base_out + l)
-            (Bigarray.Array1.unsafe_get m (base_out + l)
-            land lnot (Bigarray.Array1.unsafe_get m (base_in + l)))
-        done
-    end
-  in
   let cubes = fn.cubes in
   let n_cubes = Array.length cubes in
   (* Two specializations cover the common cell covers (a minimized
      monotone AND is one cube; a minimized OR is single-literal cubes)
      without the accumulator round-trips of the general shape. *)
-  if n_cubes = 0 then
-    for l = 0 to width - 1 do
-      Bigarray.Array1.unsafe_set m (base_out + l) 0
-    done
+  if n_cubes = 0 then matrix_fill_row m ~width ~net:out 0
   else if n_cubes = 1 then begin
-    (* One cube: AND the literals straight into the output row. *)
     let care, value = Array.unsafe_get cubes 0 in
-    for l = 0 to width - 1 do
-      Bigarray.Array1.unsafe_set m (base_out + l) (-1)
-    done;
-    let rec lits i =
-      if 1 lsl i <= care then begin
-        and_literal care value i;
-        lits (i + 1)
-      end
-    in
-    lits 0
+    cube_row m ins ~width ~out care value
   end
   else begin
     let single_literal = ref true in
@@ -405,25 +420,16 @@ let eval_fn_rows fn (ins : int array) (m : word_matrix) ~width ~out ~(tmp : int 
     done;
     if !single_literal then begin
       (* Every cube is one literal: OR them straight into the output row. *)
-      for l = 0 to width - 1 do
-        Bigarray.Array1.unsafe_set m (base_out + l) 0
-      done;
+      matrix_fill_row m ~width ~net:out 0;
       for c = 0 to n_cubes - 1 do
         let care, value = Array.unsafe_get cubes c in
-        let rec idx i = if care lsr i = 1 then i else idx (i + 1) in
-        let base_in = Array.unsafe_get ins (idx 0) * width in
-        if value land care <> 0 then
-          for l = 0 to width - 1 do
-            Bigarray.Array1.unsafe_set m (base_out + l)
-              (Bigarray.Array1.unsafe_get m (base_out + l)
-              lor Bigarray.Array1.unsafe_get m (base_in + l))
-          done
-        else
-          for l = 0 to width - 1 do
-            Bigarray.Array1.unsafe_set m (base_out + l)
-              (Bigarray.Array1.unsafe_get m (base_out + l)
-              lor lnot (Bigarray.Array1.unsafe_get m (base_in + l)))
-          done
+        let i = ref 0 in
+        while care lsr !i <> 1 do
+          incr i
+        done;
+        or_row m ~width ~base_out
+          ~base_in:(Array.unsafe_get ins !i * width)
+          ~positive:(value land care <> 0)
       done
     end
     else begin
@@ -432,16 +438,7 @@ let eval_fn_rows fn (ins : int array) (m : word_matrix) ~width ~out ~(tmp : int 
       Array.fill tmp 0 width 0;
       for c = 0 to n_cubes - 1 do
         let care, value = Array.unsafe_get cubes c in
-        for l = 0 to width - 1 do
-          Bigarray.Array1.unsafe_set m (base_out + l) (-1)
-        done;
-        let rec lits i =
-          if 1 lsl i <= care then begin
-            and_literal care value i;
-            lits (i + 1)
-          end
-        in
-        lits 0;
+        cube_row m ins ~width ~out care value;
         for l = 0 to width - 1 do
           Array.unsafe_set tmp l
             (Array.unsafe_get tmp l lor Bigarray.Array1.unsafe_get m (base_out + l))

@@ -130,15 +130,15 @@ val make_word_matrix : t -> width:int -> word_matrix
     [width < 1]. *)
 
 val matrix_fill_row : word_matrix -> width:int -> net:int -> int -> unit
-(** Broadcast one word to every lane of row [net] (good-machine frontier
-    values entering a fault group's cone). *)
+(** Broadcast one word to every lane of row [net] (loading the good
+    machine into the matrix, restoring a swept row). *)
 
 val eval_fn_rows :
   gate_fn -> int array -> word_matrix -> width:int -> out:int -> tmp:int array -> unit
 (** Grouped single-gate evaluation: for every lane, row [out] becomes
     the function applied to the input rows ([ins], net indices).  Cube
     outer, literal middle, lane inner; [tmp] (length >= [width]) is the
-    caller-owned accumulator making the call allocation-free. *)
+    caller-owned accumulator, and the call allocates nothing. *)
 
 val eval_fn_in_matrix : gate_fn -> int array -> word_matrix -> width:int -> lane:int -> int
 (** Scalar one-lane evaluation out of the matrix — the per-machine

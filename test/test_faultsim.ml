@@ -490,12 +490,14 @@ let test_ppsfp_group_sizes () =
   check "group 0 raises" true
     (raises_invalid (fun () -> Faultsim.run_ppsfp ~group:0 u pats))
 
-(* Fault dropping compacts the group partition between pattern units:
-   once a site is detected it is never simulated again.  [trace_site]
-   fires once per live site per 62-pattern unit, so the recorded unit
-   starts pin the compaction exactly: a detected site's last trace is
-   the unit containing its first detection, an undetected site is
-   traced in every unit, and no (site, unit) pair repeats. *)
+(* Fault dropping retires a site from the activation probe: once a site
+   is detected it is never simulated again.  [trace_site] fires once per
+   live site probed per 62-pattern unit (groups are re-packed from the
+   activated live sites every unit, so there is no separate compaction
+   step), and the recorded unit starts pin the retirement exactly: a
+   detected site's last trace is the unit containing its first
+   detection, an undetected site is traced in every unit, and no
+   (site, unit) pair repeats. *)
 let test_ppsfp_compaction_never_resimulates () =
   let nl =
     Generators.random_monotone ~seed:3 ~n_inputs:8 ~n_gates:30
@@ -535,6 +537,40 @@ let test_ppsfp_compaction_never_resimulates () =
   check "compaction changes no detections" true
     (s.Faultsim.first_detection
     = (Faultsim.run_ppsfp ~drop:false ~group:7 u pats).Faultsim.first_detection)
+
+(* Scale differential: on the thousand-gate catalog circuit at a ragged
+   pattern count (150 = two full words and a 26-pattern tail), every
+   engine shape that packs or shards sites differently reproduces the
+   bit-parallel engine's first detections under both drop settings. *)
+let test_scale_differential () =
+  let nl = match Catalog.find "rand1k" with Ok nl -> nl | Error e -> Alcotest.fail e in
+  let u = Faultsim.universe nl in
+  let pats = Faultsim.random_patterns (Prng.create 97) ~n_inputs:32 ~count:150 in
+  List.iter
+    (fun drop ->
+      let reference = (Faultsim.run_parallel ~drop u pats).Faultsim.first_detection in
+      List.iter
+        (fun (name, run) ->
+          check (Fmt.str "%s drop=%b = bit-parallel" name drop) true
+            ((run ()).Faultsim.first_detection = reference))
+        ([
+           ("ppsfp G=16 full", fun () -> Faultsim.run_ppsfp ~drop ~algo:`Full ~group:16 u pats);
+           ("deductive", fun () -> Faultsim.run_deductive ~drop u pats);
+           ("concurrent", fun () -> Faultsim.run_concurrent ~drop u pats);
+         ]
+        @ List.map
+            (fun group ->
+              ( Fmt.str "ppsfp G=%d cone" group,
+                fun () -> Faultsim.run_ppsfp ~drop ~algo:`Cone ~group u pats ))
+            [ 1; 16; 64 ]
+        @ List.map
+            (fun n ->
+              ( Fmt.str "domains x%d" n,
+                fun () ->
+                  Faultsim.run_domain_parallel ~drop ~num_domains:n ~min_work_per_domain:0 u
+                    pats ))
+            [ 1; 2 ]))
+    [ true; false ]
 
 (* Restricted universes (arbitrary site subsets, still ascending sid /
    non-decreasing gate order) go through the same kernel. *)
@@ -1449,6 +1485,8 @@ let () =
           Alcotest.test_case "compaction never re-simulates" `Quick
             test_ppsfp_compaction_never_resimulates;
           Alcotest.test_case "restricted universes" `Quick test_ppsfp_restricted_universe;
+          Alcotest.test_case "rand1k: all engines = bit-parallel" `Quick
+            test_scale_differential;
           Alcotest.test_case "word matrix = scalar evaluator" `Quick
             test_word_matrix_matches_scalar;
         ] );

@@ -191,6 +191,24 @@ let test_cone_injection_allocation () =
   if per > 16.0 then
     Alcotest.fail (Fmt.str "cone injection allocated %.1f words per site on average" per)
 
+(* A whole PPSFP campaign allocates a small constant beyond its result
+   arrays: groups are packed into campaign-lifetime buffers and the row
+   evaluator builds no closures, so nothing is allocated per pattern
+   unit, group or gate row.  558 patterns = nine 62-pattern units. *)
+let test_ppsfp_allocation () =
+  let u = Dynmos_faultsim.Faultsim.universe (rand1k_shape ()) in
+  let prng = Dynmos_util.Prng.create 5 in
+  let pats =
+    Dynmos_faultsim.Faultsim.random_patterns prng
+      ~n_inputs:(Compiled.n_inputs u.Dynmos_faultsim.Faultsim.compiled)
+      ~count:558
+  in
+  let run () = ignore (Dynmos_faultsim.Faultsim.run_ppsfp ~drop:false u pats) in
+  run ();
+  let w = minor_words_of run in
+  if w > 100_000.0 then
+    Alcotest.fail (Fmt.str "ppsfp run over 558 patterns allocated %.0f minor words" w)
+
 let test_output_expr () =
   let nl = Generators.carry_chain ~technology:Technology.Domino_cmos 3 in
   let c = Compiled.compile nl in
@@ -556,6 +574,8 @@ let () =
           Alcotest.test_case "good sweep allocates O(1) words" `Quick test_good_sweep_allocation;
           Alcotest.test_case "cone injection allocates O(1) words" `Quick
             test_cone_injection_allocation;
+          Alcotest.test_case "ppsfp campaign allocates O(1) words" `Quick
+            test_ppsfp_allocation;
         ] );
       ( "charge_fig1",
         [
